@@ -150,8 +150,9 @@ class ServeCommand:
         return CommandResult.ok(rounds=len(service.chain))
 
     def _serve(self, server, service, args: argparse.Namespace) -> None:
-        """Run the accept loop until interrupted (tests stub this)."""
+        """Run the accept loop until SIGINT (tests stub this)."""
         import asyncio
+        import signal
 
         async def run() -> None:
             await server.start()
@@ -160,6 +161,16 @@ class ServeCommand:
                   f"restored, {len(service.bulletin)} commitments"
                   + (", metrics on" if args.metrics else "") + ")",
                   flush=True)
-            await server.serve_forever()
+            serving = asyncio.ensure_future(server.serve_forever())
+            # A loop signal handler wakes the selector through the
+            # loop's wakeup fd even when the signal lands on a helper
+            # thread; asyncio.run's plain handler can sleep through it
+            # until the next timer fires.  Closing the loop removes it.
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGINT, serving.cancel)
+            try:
+                await serving  # cancelling it closes every connection
+            except asyncio.CancelledError:
+                print("shutting down")
 
         asyncio.run(run())

@@ -16,7 +16,7 @@ import pathlib
 
 from ..commitments import BulletinBoard, Commitment
 from ..core.prover_service import ProverService
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..hashing import Digest
 from ..storage import SqliteLogStore
 from ..zkvm import Receipt
@@ -34,16 +34,29 @@ def save_bulletin(bulletin: BulletinBoard, path: pathlib.Path) -> None:
 
 
 def load_bulletin(path: pathlib.Path) -> BulletinBoard:
-    bulletin = BulletinBoard()
-    data = json.loads(path.read_text())
-    for entry in data["commitments"]:
-        bulletin.publish(Commitment(
+    """Read a bulletin file; a missing or malformed one is a
+    :class:`~repro.errors.ConfigurationError` naming the path."""
+    try:
+        data = json.loads(path.read_text())
+        commitments = [Commitment(
             router_id=entry["router_id"],
             window_index=entry["window_index"],
             digest=Digest.from_hex(entry["digest"]),
             record_count=entry["record_count"],
             published_at_ms=entry["published_at_ms"],
-        ))
+        ) for entry in data["commitments"]]
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read bulletin {path}: {exc.strerror or exc}"
+        ) from None
+    except (ValueError, KeyError, TypeError, ReproError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) \
+            else str(exc)
+        raise ConfigurationError(
+            f"malformed bulletin {path}: {detail}") from None
+    bulletin = BulletinBoard()
+    for commitment in commitments:
+        bulletin.publish(commitment)
     return bulletin
 
 
@@ -84,8 +97,8 @@ def rebuild_service(db: pathlib.Path, bulletin_path: pathlib.Path,
     (from-genesis re-aggregation, the slow path ``bench_recovery.py``
     measures).
     """
-    store = SqliteLogStore(str(db))
     bulletin = load_bulletin(bulletin_path)
+    store = SqliteLogStore(str(db))
     service = ProverService(store, bulletin, strategy=strategy,
                             auto_checkpoint=auto_checkpoint,
                             pool_backend=pool_backend,

@@ -238,9 +238,18 @@ class CLogState:
         return self._entries.get(key)
 
     def entries_in_slot_order(self) -> list[CLogEntry]:
-        ordered = sorted(self._entries,
-                         key=lambda k: self._map.index_of(k))
-        return [self._entries[k] for k in ordered]
+        entries = self._entries
+        return [entries[key] for key in self._map]
+
+    def leaf_rows(self) -> list[dict[str, bytes]]:
+        """One ``{"key", "payload"}`` guest frame per slot, in slot order.
+
+        Built from the bytes the Merkle map already holds — exactly what
+        each leaf digest was computed from — so a scan re-encodes
+        nothing.
+        """
+        return [{"key": key, "payload": payload}
+                for key, payload in self._map.rows()]
 
     def entry_views(self) -> list[dict[str, Any]]:
         return [e.query_view() for e in self.entries_in_slot_order()]
@@ -253,9 +262,15 @@ class CLogState:
         return self._map.set(entry.key, entry.to_payload())
 
     def clone(self) -> "CLogState":
-        """Deep copy for witness building (host-side, cheap)."""
-        other = CLogState()
-        for entry in self.entries_in_slot_order():
-            other.set_entry(entry)
+        """Independent copy for witness building.
+
+        Copies the entry dict and the Merkle map's structure (slots,
+        payloads, digest levels, hasher); nothing is re-encoded or
+        re-hashed, so the cost is a list copy per tree level rather
+        than a replay of every entry.
+        """
+        other = CLogState.__new__(CLogState)
+        other._entries = dict(self._entries)
+        other._map = self._map.copy()
         other.round = self.round
         return other

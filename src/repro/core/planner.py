@@ -200,8 +200,8 @@ class QueryPlanner:
         self.entries = len(state)
         self.agg_journal_bytes = agg_journal_bytes
         self._state = state
-        payload_sizes = [len(entry.to_payload())
-                         for entry in state.entries_in_slot_order()]
+        payload_sizes = [len(row["payload"])
+                         for row in state.leaf_rows()]
         self.avg_payload = (sum(payload_sizes) / len(payload_sizes)
                             if payload_sizes else 0.0)
         self._views: list[dict] | None = None

@@ -210,9 +210,8 @@ class QueryProver:
             builder = ExecutorEnvBuilder()
             builder.write({"query": sql, "num_entries": len(state)})
             builder.write(make_receipt_binding(agg_receipt))
-            for entry in state.entries_in_slot_order():
-                builder.write({"key": entry.key.pack(),
-                               "payload": entry.to_payload()})
+            for row in state.leaf_rows():
+                builder.write(row)
             info = self._prover.prove(query_guest, builder.build())
             receipt = resolve(info.receipt, agg_receipt)
             span.add_cycles(info.stats.total_cycles)
@@ -250,7 +249,7 @@ class QueryProver:
         from .planner import partition_layout
         chunk_po2, count = partition_layout(size, requested)
         chunk = 1 << chunk_po2
-        entries = state.entries_in_slot_order()
+        rows = state.leaf_rows()
         tree = state.merkle_map.tree
         binding = make_receipt_binding(agg_receipt)
 
@@ -265,7 +264,7 @@ class QueryProver:
                     lo = index << chunk_po2
                     hi = min(size, lo + chunk)
                     jobs.append(self._partition_job(
-                        sql, binding, entries[lo:hi], index, count,
+                        sql, binding, rows[lo:hi], index, count,
                         chunk_po2,
                         tree.prove_subtree(chunk_po2, index).siblings))
 
@@ -296,7 +295,7 @@ class QueryProver:
                     with obs.tracer().span(
                             obs_names.SPAN_QUERY_PARALLEL_PARTITION,
                             partition=index) as span:
-                        result = future.result()
+                        result = schedule.partition_result(future)
                         span.add_cycles(result.stats.total_cycles)
                         span.set("cached", result.cached)
                     partition_results.append(result)
@@ -328,8 +327,8 @@ class QueryProver:
         return _build_response(sql, receipt), info
 
     def _partition_job(self, sql: str, binding: dict[str, Any],
-                       entries: list[Any], index: int, count: int,
-                       chunk_po2: int,
+                       rows: list[dict[str, bytes]], index: int,
+                       count: int, chunk_po2: int,
                        siblings: tuple[Digest, ...]) -> Any:
         from ..engine.jobs import ProofJob
         builder = ExecutorEnvBuilder()
@@ -339,13 +338,12 @@ class QueryProver:
             "num_partitions": count,
             "chunk_po2": chunk_po2,
             "start": index << chunk_po2,
-            "count": len(entries),
+            "count": len(rows),
             "siblings": list(siblings),
         })
         builder.write(binding)
-        for entry in entries:
-            builder.write({"key": entry.key.pack(),
-                           "payload": entry.to_payload()})
+        for row in rows:
+            builder.write(row)
         return ProofJob.from_parts(query_partition_guest,
                                    builder.build(), self._opts)
 

@@ -233,9 +233,8 @@ class RebuildAggregator:
         })
         if state.round > 0:
             builder.write(make_receipt_binding(prev_receipt))
-        for entry in state.entries_in_slot_order():
-            builder.write({"key": entry.key.pack(),
-                           "payload": entry.to_payload()})
+        for row in state.leaf_rows():
+            builder.write(row)
         for window in ordered:
             builder.write({
                 "router_id": window.router_id,

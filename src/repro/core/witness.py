@@ -69,7 +69,7 @@ def build_witness(state: CLogState, records: list[NetFlowRecord],
             ops.append({
                 "op": OP_UPDATE,
                 "slot": proof.leaf_index,
-                "old_payload": existing.to_payload(),
+                "old_payload": work.merkle_map.payload(key),
                 "siblings": list(proof.siblings),
             })
             work.set_entry(existing.merge(record, policy))

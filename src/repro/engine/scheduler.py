@@ -267,7 +267,7 @@ class ProvingEngine:
                             partition=pindex,
                             routers=len(schedule.partitions[pindex])
                             ) as span:
-                        result = future.result()
+                        result = schedule.partition_result(future)
                         span.add_cycles(result.stats.total_cycles)
                         span.set("cached", result.cached)
                     partition_results.append(result)
@@ -307,6 +307,20 @@ class _RoundSchedule:
         self._lock = threading.Lock()
         self._remaining = 0
         self._failed = False
+
+    def partition_result(self, future: Future) -> Any:
+        """``future.result()`` for one of this schedule's siblings.
+
+        On failure, first wait until every sibling has finished (a
+        poisoned fan-out sets ``merge_ready`` only then): siblings that
+        succeed are in the receipt cache before the caller can retry,
+        and no job of this fan-out outlives the failed call.
+        """
+        try:
+            return future.result()
+        except Exception:
+            self.merge_ready.wait()
+            raise
 
     def arm(self, futures: list[Future],
             submit_merge: Any) -> None:

@@ -182,7 +182,7 @@ class FederationJoinProver:
         schedule = self._engine.submit_fanout(jobs, build_merge)
         total_cycles = 0
         for future in schedule.partition_futures:
-            total_cycles += future.result().stats.total_cycles
+            total_cycles += schedule.partition_result(future).stats.total_cycles
         schedule.merge_ready.wait()
         if schedule.merge_future is None:
             raise ProofError("federation join merge was never submitted")
@@ -209,6 +209,6 @@ class FederationJoinProver:
         builder = ExecutorEnvBuilder()
         builder.write({"query": FEDERATION_TOTALS_SQL, "num_entries": len(state)})
         builder.write(make_receipt_binding(agg_receipt))
-        for entry in state.entries_in_slot_order():
-            builder.write({"key": entry.key.pack(), "payload": entry.to_payload()})
+        for row in state.leaf_rows():
+            builder.write(row)
         return ProofJob.from_parts(query_guest, builder.build(), self._opts)

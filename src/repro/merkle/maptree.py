@@ -52,6 +52,17 @@ class MerkleMap:
     def items(self) -> Iterator[tuple[object, bytes]]:
         return iter(self._payloads.items())
 
+    def rows(self) -> list[tuple[bytes, bytes]]:
+        """``(key bytes, payload)`` per occupied slot, in slot order.
+
+        These are exactly the bytes each leaf digest was computed from.
+        :meth:`set` is the only writer of ``_index`` and appends new
+        keys, so the dict's insertion order is slot order.
+        """
+        key_bytes = self._key_bytes
+        payloads = self._payloads
+        return [(key_bytes(key), payloads[key]) for key in self._index]
+
     def get(self, key: object) -> bytes | None:
         return self._payloads.get(key)
 
@@ -84,6 +95,20 @@ class MerkleMap:
     def update_many(self, entries: Mapping[object, bytes]) -> None:
         for key, payload in entries.items():
             self.set(key, payload)
+
+    def copy(self) -> "MerkleMap":
+        """An independent map with the same slots, payloads and tree.
+
+        Copies the tree's digest lists and the two dicts; nothing is
+        re-hashed or re-encoded.
+        """
+        other = MerkleMap.__new__(MerkleMap)
+        other._hasher = self._hasher
+        other._key_bytes = self._key_bytes
+        other._tree = self._tree.copy()
+        other._index = dict(self._index)
+        other._payloads = dict(self._payloads)
+        return other
 
     # -- authentication -----------------------------------------------------------
 

@@ -132,6 +132,18 @@ class MerkleTree:
         for leaf in leaves:
             self.append(leaf)
 
+    def copy(self) -> "MerkleTree":
+        """An independent tree with the same leaves, levels and hasher.
+
+        Copies the digest lists only; nothing is re-hashed.
+        """
+        other = MerkleTree.__new__(MerkleTree)
+        other._hasher = self._hasher
+        other._empty = self._empty
+        other._leaves = list(self._leaves)
+        other._levels = [list(level) for level in self._levels]
+        return other
+
     # -- proofs --------------------------------------------------------------
 
     def prove(self, index: int) -> InclusionProof:

@@ -96,6 +96,7 @@ class ProverServer:
         self._server: asyncio.base_events.Server | None = None
         self._round_lock: asyncio.Lock | None = None
         self._conn_slots: asyncio.Semaphore | None = None
+        self._connections: set[asyncio.Task] = set()
         self._thread: threading.Thread | None = None
         self._thread_loop: asyncio.AbstractEventLoop | None = None
 
@@ -118,13 +119,26 @@ class ProverServer:
         if self._server is None:
             await self.start()
         assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            # start_server() is already accepting.  Park on a future of
+            # our own, not Server.serve_forever(): cancelling that one
+            # awaits Server.wait_closed() first, which from Python 3.12
+            # waits for every open connection to end, so an idle client
+            # would hold shutdown until its idle timeout.
+            await asyncio.get_running_loop().create_future()
+        finally:
+            # Also on cancellation (SIGINT): stop() cancels the open
+            # connections before anything waits for them.
+            await self.stop()
 
     async def stop(self) -> None:
         if self._server is None:
             return
         self._server.close()
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
         if self.qserve is not None:
@@ -201,24 +215,37 @@ class ProverServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         assert self._conn_slots is not None
+        task = asyncio.current_task()
+        self._connections.add(task)
         peer = writer.get_extra_info("peername")
         connections = obs.registry().gauge(
             obs_names.NET_SERVER_CONNECTIONS)
-        async with self._conn_slots:
-            connections.inc()
-            try:
-                await self._serve_connection(reader, writer)
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # peer vanished; nothing to tell it
-            except Exception:
-                logger.exception("connection %s crashed", peer)
-            finally:
-                connections.dec()
-                writer.close()
+        try:
+            async with self._conn_slots:
+                connections.inc()
                 try:
-                    await writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
+                    await self._serve_connection(reader, writer)
+                finally:
+                    connections.dec()
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # peer vanished; nothing to tell it
+        except asyncio.CancelledError:
+            # Cancelled by stop() once the listener is closed: end the
+            # task normally, because the stream callback of some Python
+            # versions (3.11) calls task.exception() and would log the
+            # CancelledError as a traceback.  Other cancellations
+            # propagate.
+            if self._server is None or self._server.is_serving():
+                raise
+        except Exception:
+            logger.exception("connection %s crashed", peer)
+        finally:
+            self._connections.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:

@@ -30,12 +30,23 @@ def _addr_to_int(addr: str) -> int:
 
 
 def _int_to_addr(value: int) -> str:
-    return str(ipaddress.IPv4Address(value))
+    """Dotted quad of a 32-bit address (what ``ipaddress`` prints)."""
+    return (f"{value >> 24}.{(value >> 16) & 0xFF}."
+            f"{(value >> 8) & 0xFF}.{value & 0xFF}")
+
+
+# (saddr, daddr, sport, dport, proto): the 13-byte canonical flow key.
+_KEY_STRUCT = struct.Struct(">IIHHB")
 
 
 @dataclass(frozen=True, order=True)
 class FlowKey:
-    """The 5-tuple identifying a flow (Algorithm 1's ``FlowID``)."""
+    """The 5-tuple identifying a flow (Algorithm 1's ``FlowID``).
+
+    The addresses are parsed once, on construction, and the resulting
+    13-byte packing is kept (outside the dataclass fields, so equality,
+    hashing and ordering still see only the 5-tuple).
+    """
 
     src_addr: str
     dst_addr: str
@@ -44,8 +55,8 @@ class FlowKey:
     protocol: int
 
     def __post_init__(self) -> None:
-        _addr_to_int(self.src_addr)  # validate
-        _addr_to_int(self.dst_addr)
+        src = _addr_to_int(self.src_addr)
+        dst = _addr_to_int(self.dst_addr)
         for name in ("src_port", "dst_port"):
             port = getattr(self, name)
             if not 0 <= port <= 0xFFFF:
@@ -53,30 +64,35 @@ class FlowKey:
         if not 0 <= self.protocol <= 0xFF:
             raise ConfigurationError(
                 f"protocol={self.protocol} out of range")
+        object.__setattr__(self, "_packed", _KEY_STRUCT.pack(
+            src, dst, self.src_port, self.dst_port, self.protocol))
 
     def pack(self) -> bytes:
         """13-byte canonical packing (saddr, daddr, sport, dport, proto)."""
-        return struct.pack(
-            ">IIHHB",
-            _addr_to_int(self.src_addr),
-            _addr_to_int(self.dst_addr),
-            self.src_port,
-            self.dst_port,
-            self.protocol,
-        )
+        return self._packed
 
     @classmethod
     def unpack(cls, data: bytes) -> "FlowKey":
         if len(data) != 13:
             raise ConfigurationError(
                 f"packed flow key must be 13 bytes, got {len(data)}")
-        saddr, daddr, sport, dport, proto = struct.unpack(">IIHHB", data)
-        return cls(src_addr=_int_to_addr(saddr), dst_addr=_int_to_addr(daddr),
-                   src_port=sport, dst_port=dport, protocol=proto)
+        packed = bytes(data)
+        saddr, daddr, sport, dport, proto = _KEY_STRUCT.unpack(packed)
+        # Every 13-byte string is a valid key, so skip __post_init__'s
+        # parse of the dotted quads this would otherwise format.
+        key = object.__new__(cls)
+        setter = object.__setattr__
+        setter(key, "src_addr", _int_to_addr(saddr))
+        setter(key, "dst_addr", _int_to_addr(daddr))
+        setter(key, "src_port", sport)
+        setter(key, "dst_port", dport)
+        setter(key, "protocol", proto)
+        setter(key, "_packed", packed)
+        return key
 
     def to_bytes_key(self) -> bytes:
         """Merkle-map key bytes (see :class:`repro.merkle.MerkleMap`)."""
-        return self.pack()
+        return self._packed
 
     def reversed(self) -> "FlowKey":
         """The reverse direction of this flow."""

@@ -86,7 +86,7 @@ class BatchQueryProver:
                 "cannot batch-prove queries over an empty CLog")
         chunk_po2, count = partition_layout(size, num_partitions)
         chunk = 1 << chunk_po2
-        entries = state.entries_in_slot_order()
+        rows = state.leaf_rows()
         tree = state.merkle_map.tree
         binding = make_receipt_binding(agg_receipt)
 
@@ -110,9 +110,8 @@ class BatchQueryProver:
                         tree.prove_subtree(chunk_po2, index).siblings),
                 })
                 builder.write(binding)
-                for entry in entries[lo:hi]:
-                    builder.write({"key": entry.key.pack(),
-                                   "payload": entry.to_payload()})
+                for row in rows[lo:hi]:
+                    builder.write(row)
                 jobs.append(ProofJob.from_parts(
                     query_batch_partition_guest, builder.build(),
                     self._opts))
@@ -150,7 +149,7 @@ class BatchQueryProver:
                 with obs.tracer().span(
                         obs_names.SPAN_QUERY_PARALLEL_PARTITION,
                         partition=index) as span:
-                    result = future.result()
+                    result = schedule.partition_result(future)
                     span.add_cycles(result.stats.total_cycles)
                     span.set("cached", result.cached)
                     partition_cycles += result.stats.total_cycles

@@ -104,6 +104,7 @@ class QueryService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._task: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None
+        self._stopping: asyncio.Event | None = None
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -114,6 +115,7 @@ class QueryService:
             return
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
+        self._stopping = asyncio.Event()
         self._closed = False
         self._task = self._loop.create_task(self._dispatch_loop())
 
@@ -122,6 +124,7 @@ class QueryService:
         if self._task is None:
             return
         self._closed = True
+        self._stopping.set()
         self._wake.set()
         await self._task
         self._task = None
@@ -211,10 +214,15 @@ class QueryService:
             while len(self._admission.queue):
                 # The batching window: give concurrent submitters a
                 # beat to land in the queue so compatible queries share
-                # one scan.  Skipped once a full batch is waiting.
+                # one scan.  Skipped once a full batch is waiting, and
+                # cut short by stop().
                 if self.batch_window > 0 \
                         and len(self._admission.queue) < self.batch_max:
-                    await asyncio.sleep(self.batch_window)
+                    try:
+                        await asyncio.wait_for(self._stopping.wait(),
+                                               self.batch_window)
+                    except asyncio.TimeoutError:
+                        pass
                 if self._closed:
                     return
                 tickets = list(

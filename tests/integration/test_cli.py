@@ -215,6 +215,50 @@ class TestServe:
             proc.terminate()
             proc.wait(timeout=10)
 
+    def test_sigint_with_open_connection_exits_cleanly(self, workspace):
+        """SIGINT while a client holds an idle connection: `serve`
+        shuts down within a bound and prints no traceback."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        from repro.net import QueryClient
+
+        db, bulletin, _receipts = workspace
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep \
+            + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--db", str(db), "--bulletin", str(bulletin),
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, text=True)
+        client = None
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            assert match, f"unexpected serve banner: {banner!r}"
+            client = QueryClient(match.group(1), int(match.group(2)))
+            assert client.health()["status"] == "ok"  # pools the socket
+            proc.send_signal(signal.SIGINT)
+            start = time.monotonic()
+            out, err = proc.communicate(timeout=15)
+            elapsed = time.monotonic() - start
+        finally:
+            if client is not None:
+                client.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert proc.returncode == 0
+        assert elapsed < 10.0
+        assert "shutting down" in out
+        assert "Traceback" not in err, err
+
     def test_query_requires_connect_or_files(self, capsys):
         assert main(["query", "SELECT COUNT(*) FROM clogs"]) == 2
         assert "--connect" in capsys.readouterr().err

@@ -338,6 +338,9 @@ class _fake_server:
                     conn, _addr = self._sock.accept()
                 except OSError:
                     return
+                if not self._running:
+                    conn.close()  # the wake-up connection from __exit__
+                    return
                 try:
                     self._handler(conn)
                 except OSError:
@@ -348,6 +351,13 @@ class _fake_server:
         return self._sock.getsockname()[1]
 
     def __exit__(self, *exc_info: object) -> None:
+        # Closing a listening socket does not wake a thread blocked in
+        # accept(), so connect once to unblock it before closing.
         self._running = False
-        self._sock.close()
+        try:
+            socket.create_connection(self._sock.getsockname(),
+                                     timeout=1.0).close()
+        except OSError:
+            pass
         self._thread.join(timeout=5)
+        self._sock.close()

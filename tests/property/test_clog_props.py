@@ -99,6 +99,57 @@ class TestMergeSemantics:
                 {k: v.to_payload() for k, v in whole.items()}
 
 
+def apply(state, batch):
+    for record in batch:
+        existing = state.get(record.key)
+        state.set_entry(existing.merge(record, DEFAULT_POLICY)
+                        if existing else CLogEntry.fresh(record))
+    return state
+
+
+def fingerprint(state):
+    return (state.root, state.depth, state.round,
+            dict(state.merkle_map.snapshot().slots),
+            state.leaf_rows(), state.entries_in_slot_order())
+
+
+class TestCloneProperties:
+    @given(records(max_size=40, distinct_flows=12))
+    @settings(max_examples=60, deadline=None)
+    def test_clone_equals_rebuild_from_scratch(self, batch):
+        state = apply(CLogState(), batch)
+        state.round = 3
+        rebuilt = CLogState()
+        for entry in state.entries_in_slot_order():
+            rebuilt.set_entry(entry)
+        rebuilt.round = state.round
+        assert fingerprint(state.clone()) == fingerprint(rebuilt)
+
+    @given(records(max_size=30, distinct_flows=10),
+           records(max_size=15, distinct_flows=14))
+    @settings(max_examples=60, deadline=None)
+    def test_clone_and_original_are_independent(self, batch, more):
+        state = apply(CLogState(), batch)
+        before = fingerprint(state)
+        clone = apply(state.clone(), more)
+        assert fingerprint(state) == before
+        after = fingerprint(clone)
+        apply(state, more + batch)
+        assert fingerprint(clone) == after
+
+    @given(records(max_size=40, distinct_flows=12))
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_rows_are_the_encoded_entries(self, batch):
+        state = apply(CLogState(), batch)
+        assert [(row["key"], row["payload"])
+                for row in state.leaf_rows()] \
+            == [(entry.key.pack(), entry.to_payload())
+                for entry in state.entries_in_slot_order()]
+        slots = [state.merkle_map.index_of(entry.key)
+                 for entry in state.entries_in_slot_order()]
+        assert slots == list(range(len(state)))
+
+
 class TestWitnessProperties:
     @given(records(max_size=15))
     @settings(max_examples=60, deadline=None)

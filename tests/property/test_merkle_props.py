@@ -118,6 +118,43 @@ class TestMapProperties:
         assert dict(m.items()) == expected
         assert len(m) == len(expected)
 
+    @given(st.lists(st.tuples(st.binary(min_size=1, max_size=4),
+                              st.binary(max_size=8)),
+                    min_size=1, max_size=40))
+    def test_index_order_is_slot_order(self, operations):
+        """set() appends new keys, so the key dict iterates in slot
+        order and rows() needs no sort."""
+        m = MerkleMap()
+        for key, value in operations:
+            m.set(key, value)
+        assert list(m._index.values()) == list(range(len(m)))
+        assert m.rows() == [(key, m.payload(key)) for key in
+                            sorted(m.keys(), key=m.index_of)]
+
+    @given(st.lists(st.tuples(st.binary(min_size=1, max_size=4),
+                              st.binary(max_size=8)),
+                    min_size=1, max_size=40),
+           st.lists(st.tuples(st.binary(min_size=1, max_size=4),
+                              st.binary(max_size=8)),
+                    min_size=1, max_size=10))
+    def test_copy_is_identical_and_independent(self, operations, more):
+        m = MerkleMap()
+        for key, value in operations:
+            m.set(key, value)
+        copy = m.copy()
+        assert (copy.root, copy.depth, copy.rows()) \
+            == (m.root, m.depth, m.rows())
+        before = (m.root, m.depth, m.rows(), m.tree.leaves())
+        for key, value in more:
+            copy.set(key, value + b"!")
+        assert (m.root, m.depth, m.rows(), m.tree.leaves()) == before
+        replay = MerkleMap()
+        for key, payload in copy.rows():
+            replay.set(key, payload)
+        assert replay.root == copy.root
+        for key in copy.keys():
+            copy.prove(key).verify(copy.root)
+
     @given(st.dictionaries(st.binary(min_size=1, max_size=4),
                            st.binary(max_size=8),
                            min_size=2, max_size=10))

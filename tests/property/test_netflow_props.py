@@ -1,11 +1,15 @@
 """Property tests: NetFlow record and v9 codec invariants."""
 
+import ipaddress
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.netflow.export import NetFlowExporter
 from repro.netflow.collector import NetFlowCollector
-from repro.netflow.records import FlowKey, NetFlowRecord
+from repro.netflow.records import FlowKey, NetFlowRecord, _int_to_addr
 from repro.netflow.template import STANDARD_TEMPLATE
 from repro.serialization import decode
 
@@ -52,7 +56,34 @@ def records():
 class TestFlowKeyProps:
     @given(flow_keys())
     def test_pack_unpack_identity(self, key):
-        assert FlowKey.unpack(key.pack()) == key
+        unpacked = FlowKey.unpack(key.pack())
+        assert unpacked == key
+        assert hash(unpacked) == hash(key)
+        assert unpacked.pack() == key.pack()
+        assert unpacked.to_bytes_key() == key.to_bytes_key()
+
+    @given(st.one_of(
+        st.sampled_from([0, 1, 0xFF, 0x100, 0xFFFF, 0x1_0000, 0xFF_FFFF,
+                         0x100_0000, 0x7F00_0001, 0x8000_0000,
+                         2**32 - 1]),
+        st.integers(0, 2**32 - 1)))
+    def test_int_to_addr_matches_ipaddress(self, value):
+        assert _int_to_addr(value) == str(ipaddress.IPv4Address(value))
+
+    @pytest.mark.parametrize("addr", [
+        "01.2.3.4",      # leading zero
+        "1.2.3.256",     # octet out of range
+        "1.2.3",         # three octets
+        " 1.2.3.4",      # whitespace
+        "1.2.3.4 ",
+        "1.2.3.4.5",
+        "",
+    ])
+    def test_invalid_address_still_rejected(self, addr):
+        with pytest.raises(ConfigurationError):
+            FlowKey(addr, "10.0.0.1", 1, 2, 6)
+        with pytest.raises(ConfigurationError):
+            FlowKey("10.0.0.1", addr, 1, 2, 6)
 
     @given(flow_keys())
     def test_double_reverse_identity(self, key):

@@ -207,3 +207,27 @@ class TestEveryCommandSmokeRuns:
             "--receipts", str(tmp_path / "receipts")])
         assert exit_code == 1
         assert "nothing to aggregate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [
+        None,                          # missing file
+        "{not json",                   # malformed JSON
+        '{"entries": []}',             # wrong shape
+        '{"commitments": [{"router_id": "r1"}]}',  # incomplete entry
+    ])
+    def test_serve_bad_bulletin_is_a_one_line_error(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    content):
+        monkeypatch.setattr(
+            ServeCommand, "_serve",
+            lambda self, server, service, args: None)
+        bulletin = tmp_path / "bulletin.json"
+        if content is not None:
+            bulletin.write_text(content)
+        invoker = CommandInvoker(REGISTRY)
+        exit_code = invoker.main([
+            "serve", "--db", str(tmp_path / "logs.db"),
+            "--bulletin", str(bulletin), "--port", "0"])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bulletin) in err

@@ -9,6 +9,7 @@ recovery, and the multi-round work-queue scheduler.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -69,6 +70,27 @@ def _crash_guest_fn(env):
 
 crash_guest = register_guest(GuestProgram(_crash_guest_fn,
                                           name="test/crash"))
+
+
+_held_release = threading.Event()
+
+
+def _held_guest_fn(env):
+    value = env.read()
+    _held_release.wait(timeout=30)  # in-process backends only
+    env.commit({"held": value})
+
+
+held_guest = register_guest(GuestProgram(_held_guest_fn,
+                                         name="test/held"))
+
+
+def _failing_guest_fn(env):
+    raise ProofError("partition failed at once")
+
+
+failing_guest = register_guest(GuestProgram(_failing_guest_fn,
+                                            name="test/failing"))
 
 
 def echo_job(value="hello", **opts):
@@ -552,6 +574,47 @@ class TestProvingEngine:
                                            num_partitions=2)
         assert outcomes[0].ok is False
         assert outcomes[0].error is boom
+
+    def test_failed_sibling_waits_for_the_rest_of_the_fanout(self):
+        """A sibling that fails at once is not raised to the collector
+        while another sibling is still proving: by the time the error
+        propagates, the rest of the fan-out has finished and sits in
+        the receipt cache, so an immediate retry replays it."""
+        builder = ExecutorEnvBuilder()
+        builder.write("sibling")
+        held_job = ProofJob.from_parts(held_guest, builder.build())
+        fail_job = ProofJob.from_parts(failing_guest,
+                                       ExecutorEnvBuilder().build())
+        errors = []
+        _held_release.clear()
+        try:
+            with ProvingEngine(backend="thread",
+                               max_workers=2) as engine:
+                schedule = engine.submit_fanout(
+                    [fail_job, held_job],
+                    lambda results: echo_job("merge"))
+                failed, held = schedule.partition_futures
+                assert isinstance(failed.exception(timeout=30),
+                                  ProofError)
+
+                def collect():
+                    try:
+                        schedule.partition_result(failed)
+                    except ProofError as exc:
+                        errors.append(exc)
+
+                collector = threading.Thread(target=collect)
+                collector.start()
+                collector.join(timeout=0.3)
+                assert collector.is_alive() and not held.done()
+                _held_release.set()
+                collector.join(timeout=30)
+                assert not collector.is_alive()
+                assert held.done() and len(errors) == 1
+                retry = engine.pool.submit(held_job).result(timeout=30)
+                assert retry.cached is True
+        finally:
+            _held_release.set()
 
     def test_warm_round_replays_from_cache(self):
         """Re-proving an identical round must hit the cache for every

@@ -11,6 +11,7 @@ a couple of tiny real rounds for the service-level tests.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -443,6 +444,26 @@ class TestQueryService:
             assert qserve.stats()["inflight"] == 0
 
         run(scenario())
+
+    def test_stop_does_not_wait_out_the_batch_window(self, served):
+        """stop() interrupts the dispatcher's batching window instead of
+        sleeping through it."""
+        qserve = QueryService(served, batch_window=30.0)
+        served.query_cache.clear()
+
+        async def scenario():
+            await qserve.start()
+            task = asyncio.ensure_future(qserve.submit(
+                "SELECT COUNT(*) FROM clogs WHERE packets > 2"))
+            await asyncio.sleep(0.05)
+            start = time.monotonic()
+            await qserve.stop()
+            elapsed = time.monotonic() - start
+            with pytest.raises(NetworkError):
+                await task
+            return elapsed
+
+        assert run(scenario()) < 1.0
 
     def test_config_validation(self, served):
         with pytest.raises(ConfigurationError):
