@@ -1,33 +1,44 @@
 """zkVM hot-path micro-benchmarks: optimized vs reference, per path.
 
-Four optimizations landed behind the ``REPRO_HOTPATH`` gate (buffered
-guest I/O, the fast serialization decoder + SHA midstate templates, the
-memoized Merkle digest cache, vectorized predicate scans).  Each gets:
+Five optimized paths: buffered guest I/O, the canonical codec's decoder
+and encoder, the memoized Merkle digest cache, and vectorized predicate
+scans.  Each gets:
 
 * a pytest-benchmark entry for the *optimized* path, feeding the
   calibration-normalized regression gate in ``check_regression.py``;
 * a seat in ``test_hotpath_speedup_floor``, which times optimized vs
-  reference in-process (``hotpath.force``) and asserts the PR's
-  acceptance criterion — >= 1.5x median wall-clock on at least two of
-  the four paths.  The property suite
-  (``tests/property/test_hotpath_props.py``) pins byte-identity, so
-  these numbers are speedups of *the same computation*.
+  reference in-process and asserts the acceptance criterion — >= 1.5x
+  median wall-clock on at least two of the paths.  The reference is the
+  same thunk under ``hotpath.disabled()``, except for the codec, which
+  has one path in the program: its reference is the codec kept in
+  ``tests/codec_oracle.py``.  The property suites
+  (``tests/property/test_hotpath_props.py``,
+  ``tests/property/test_serialization_props.py``) pin identity, so these
+  numbers are speedups of *the same computation*.
 """
 
 from __future__ import annotations
 
+import pathlib
 import statistics
+import sys
 import time
 
 from repro import hotpath
+from repro.core.clog import CLogEntry
 from repro.hashing import sha256
 from repro.merkle import MerkleTree, clear_memos
+from repro.netflow.records import FlowKey
 from repro.query import evaluate, parse_query
 from repro.serialization import decode, encode
 from repro.zkvm.guest import GuestEnv
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests import codec_oracle  # noqa: E402  (repository root, above)
+
 IO_VALUES = 4_000
 DECODE_ENTRIES = 2_000
+ENCODE_ENTRIES = 2_000
 MERKLE_LEAVES = 4_096
 SCAN_ENTRIES = 20_000
 
@@ -46,7 +57,7 @@ def _wire_entry(i: int) -> dict:
     }
 
 
-# -- the four paths, as zero-argument thunks ---------------------------------
+# -- the paths, as zero-argument thunks --------------------------------------
 
 _IO_FRAMES = None
 
@@ -65,12 +76,51 @@ def _io_roundtrip():
 _DECODE_BLOB = None
 
 
-def _decode_stream():
+def _decode_blob() -> bytes:
     global _DECODE_BLOB
     if _DECODE_BLOB is None:
         _DECODE_BLOB = encode([_wire_entry(i)
                                for i in range(DECODE_ENTRIES)])
-    return decode(_DECODE_BLOB)
+    return _DECODE_BLOB
+
+
+def _decode_stream():
+    return decode(_decode_blob())
+
+
+def _oracle_decode_stream():
+    return codec_oracle.decode(_decode_blob())
+
+
+_ENCODE_WIRES = None
+
+
+def _clog_wire(i: int) -> dict:
+    key = FlowKey(f"10.0.{i % 4}.{i % 7}", f"10.1.{i % 3}.{i % 5}",
+                  1024 + i % 5000, 443, 6 if i % 2 else 17)
+    return CLogEntry(
+        key=key, packets=(i * 37) % 211, octets=(i * 911) % 100_000,
+        lost_packets=i % 3, hop_count=i % 6,
+        first_ms=1_700_000_000_000 + i, last_ms=1_700_000_005_000 + i,
+        rtt_sum_us=(i * 131) % 90_000, jitter_sum_us=(i * 17) % 5_000,
+        record_count=1 + i % 4,
+        routers=tuple(f"r{j}" for j in range(1 + i % 4)),
+    ).to_wire()
+
+
+def _encode_wires() -> list[dict]:
+    global _ENCODE_WIRES
+    if _ENCODE_WIRES is None:
+        _ENCODE_WIRES = [_clog_wire(i) for i in range(ENCODE_ENTRIES)]
+    return _ENCODE_WIRES
+
+
+def _encode_entries():
+    return encode(_encode_wires())
+
+
+def _oracle_encode_entries():
+    return codec_oracle.encode(_encode_wires())
 
 
 _MERKLE_LEAF_DIGESTS = None
@@ -99,8 +149,15 @@ def _vector_scan():
 PATHS = {
     "guest-io": _io_roundtrip,
     "decode": _decode_stream,
+    "encode": _encode_entries,
     "merkle-memo": _merkle_rebuild,
     "vector-scan": _vector_scan,
+}
+
+# Paths whose reference is not the same thunk with the gate off.
+REFERENCES = {
+    "decode": _oracle_decode_stream,
+    "encode": _oracle_encode_entries,
 }
 
 
@@ -113,9 +170,13 @@ def test_hotpath_guest_io(benchmark):
 
 
 def test_hotpath_decode(benchmark):
-    with hotpath.force(True):
-        benchmark.pedantic(_decode_stream, rounds=5, iterations=1,
-                           warmup_rounds=1)
+    benchmark.pedantic(_decode_stream, rounds=5, iterations=1,
+                       warmup_rounds=1)
+
+
+def test_hotpath_encode(benchmark):
+    benchmark.pedantic(_encode_entries, rounds=5, iterations=1,
+                       warmup_rounds=1)
 
 
 def test_hotpath_merkle_memo(benchmark):
@@ -144,7 +205,7 @@ def _median_seconds(thunk, rounds: int = 5) -> float:
 
 
 def test_hotpath_speedup_floor(report):
-    """>= 1.5x median speedup on at least two of the four paths."""
+    """>= 1.5x median speedup on at least two of the paths."""
     report.table(
         "zkvm-hotpath",
         "zkVM hot-path sweep: optimized vs reference medians",
@@ -156,8 +217,11 @@ def test_hotpath_speedup_floor(report):
             clear_memos()
             thunk()  # warm caches/templates; parity with steady state
             optimized = _median_seconds(thunk)
-        with hotpath.disabled():
-            reference = _median_seconds(thunk)
+        if name in REFERENCES:
+            reference = _median_seconds(REFERENCES[name])
+        else:
+            with hotpath.disabled():
+                reference = _median_seconds(thunk)
         ratios[name] = reference / optimized
         report.row("zkvm-hotpath", name, reference * 1e3,
                    optimized * 1e3, ratios[name])

@@ -16,7 +16,7 @@ from ..hashing import Digest
 from ..merkle import MerkleMap
 from ..merkle.hasher import MerkleHasher
 from ..netflow.records import FlowKey, NetFlowRecord
-from ..serialization import decode, encode
+from ..serialization import decode, encode, register_layout
 from .policy import AggregationPolicy, POLICY_FIELDS
 
 
@@ -159,6 +159,25 @@ class CLogEntry:
         :mod:`repro.query.fields`)."""
         return entry_view_from_wire(self.to_wire())
 
+
+# The payload ``to_wire`` emits and the ``{"key", "payload"}`` scan frame
+# of ``CLogState.leaf_rows``: the two hottest encodings, declared for
+# ``decode``'s layout fast path.
+_KEY_BYTES = 13
+register_layout({
+    "key": _KEY_BYTES,
+    "packets": int,
+    "octets": int,
+    "lost_packets": int,
+    "hop_count": int,
+    "first_ms": int,
+    "last_ms": int,
+    "rtt_sum_us": int,
+    "jitter_sum_us": int,
+    "record_count": int,
+    "routers": list[str],
+})
+register_layout({"key": _KEY_BYTES, "payload": bytes})
 
 # CLog field -> NetFlowRecord attribute for policy-governed counters.
 _RECORD_FIELD = {

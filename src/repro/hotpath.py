@@ -5,7 +5,9 @@ guest I/O, batched SHA accelerator accounting, memoized Merkle subtree
 hashing, vectorized slot scans.  Every optimization is *observationally
 identical* to the reference implementation it replaced: journal bytes,
 cycle totals, segment digests, and receipt claims do not change.  The
-reference paths are kept, behind this gate, for two reasons:
+canonical codec (:mod:`repro.serialization`) is not behind this gate: it
+has one path, and its reference lives in ``tests/codec_oracle.py``.  The
+remaining reference paths are kept, behind this gate, for two reasons:
 
 * the byte-identity property suite (``tests/property/test_hotpath_props``)
   runs every workload both ways and asserts equality, so the equivalence

@@ -259,6 +259,44 @@ class TestServe:
         assert "shutting down" in out
         assert "Traceback" not in err, err
 
+    @pytest.mark.parametrize("argv", [
+        ["--tenant", "\udcff", "SELECT COUNT(*) FROM clogs"],
+        ['SELECT COUNT(*) FROM clogs WHERE src_ip = "\udcff"'],
+    ], ids=["tenant", "sql"])
+    def test_undecodable_argv_is_a_clean_error(self, workspace, capsys,
+                                               argv):
+        """An argv byte that is not UTF-8 reaches Python as a lone
+        surrogate; the request cannot be encoded, and `query` says so
+        in one line instead of a traceback."""
+        import os
+        import re
+        import subprocess
+        import sys
+
+        db, bulletin, _receipts = workspace
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + os.pathsep \
+            + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--db", str(db), "--bulletin", str(bulletin),
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            env=env, text=True)
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            assert match, f"unexpected serve banner: {banner!r}"
+            endpoint = f"{match.group(1)}:{match.group(2)}"
+            capsys.readouterr()
+            assert main(["query", "--connect", endpoint, *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "UTF-8" in err
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
     def test_query_requires_connect_or_files(self, capsys):
         assert main(["query", "SELECT COUNT(*) FROM clogs"]) == 2
         assert "--connect" in capsys.readouterr().err

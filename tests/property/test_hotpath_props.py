@@ -1,13 +1,14 @@
 """Byte-identity property suite for the hot-path optimizations.
 
 Every optimization behind the ``REPRO_HOTPATH`` gate — midstate tag
-templates, the fast serialization decoder, buffered guest I/O with
-batched SHA accounting, the memoized Merkle digest cache, vectorized
-predicate scans — must be *observationally identical* to the reference
-implementation it shadows.  These tests machine-check that claim by
-running the same workloads with the gate on and off and asserting
-equality of journal bytes, cycle totals and breakdowns, sha-compression
-counts, digests, and query results.
+templates, buffered guest I/O with batched SHA accounting, the memoized
+Merkle digest cache, vectorized predicate scans — must be
+*observationally identical* to the reference implementation it shadows.
+These tests machine-check that claim by running the same workloads with
+the gate on and off and asserting equality of journal bytes, cycle
+totals and breakdowns, sha-compression counts, digests, and query
+results.  The serialization codec has one path and no gate; it is
+checked against the reference codec kept in ``tests/codec_oracle.py``.
 """
 
 from fractions import Fraction
@@ -31,6 +32,8 @@ from repro.storage import MemoryLogStore
 from repro.zkvm.guest import GuestEnv
 from repro.zkvm import ExecutorEnvBuilder, Prover, ProverOpts, guest_program
 
+from .. import codec_oracle as oracle
+
 
 def _meter_state(env: GuestEnv) -> tuple:
     meter = env.meter
@@ -52,28 +55,31 @@ values_strategy = st.recursive(
 )
 
 
+def _outcome(decoder, data):
+    try:
+        return ("ok", decoder(data))
+    except SerializationError as exc:
+        return ("err", str(exc))
+
+
 class TestSerializationIdentity:
+    """The codec against the reference codec in ``tests/codec_oracle``."""
+
     @given(values_strategy)
     @settings(max_examples=200, deadline=None)
-    def test_decode_identical_on_and_off(self, value):
-        data = encode(value)
-        with hotpath.force(True):
-            fast = decode(data)
-        with hotpath.disabled():
-            reference = decode(data)
-        assert fast == reference
+    def test_encode_bytes_identical(self, value):
+        assert encode(value) == oracle.encode(value)
+
+    @given(values_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_decode_identical(self, value):
+        data = oracle.encode(value)
+        assert decode(data) == oracle.decode(data)
 
     @given(st.binary(max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_garbage_errors_identical(self, data):
-        outcomes = []
-        for gate in (True, False):
-            with hotpath.force(gate):
-                try:
-                    outcomes.append(("ok", decode(data)))
-                except SerializationError as exc:
-                    outcomes.append(("err", str(exc)))
-        assert outcomes[0] == outcomes[1]
+        assert _outcome(decode, data) == _outcome(oracle.decode, data)
 
 
 # -- primitive identity: hashing and Merkle memo -----------------------------

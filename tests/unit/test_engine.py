@@ -330,6 +330,8 @@ class TestPoolConfig:
         assert resolve_pool_config() == ("remote", None)
 
     def test_explicit_backend_beats_env_nodes(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PROVE_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_PROVE_BACKEND", raising=False)
         monkeypatch.setenv("REPRO_PROVE_NODES", "127.0.0.1:7601")
         assert resolve_pool_config(backend="serial") == ("serial", None)
 

@@ -96,6 +96,18 @@ class TestRejections:
         with pytest.raises(SerializationError):
             decode(duplicated)
 
+    @pytest.mark.parametrize("value", [
+        "\ud800",
+        ["ok", "\udcff"],
+        {"\ud800": 1},
+        {"key": "a\udfffb"},
+    ], ids=["str", "list-item", "dict-key", "dict-value"])
+    def test_unencodable_str_rejected(self, value):
+        # Lone surrogates (what Python makes of undecodable argv bytes)
+        # have no UTF-8 form.
+        with pytest.raises(SerializationError, match="UTF-8"):
+            encode(value)
+
     def test_invalid_utf8_rejected(self):
         bad = bytes([0x05, 0x01, 0xff])  # str, len 1, invalid byte
         with pytest.raises(SerializationError):
